@@ -751,6 +751,14 @@ class BackupEngine:
                 tick()
         return self.completed[-1]
 
+    def discard(self, backup: BackupDatabase) -> None:
+        """Forget a sealed image (a retired backup): drop it from
+        ``completed`` and release it from the storage backend."""
+        if backup in self.completed:
+            self.completed.remove(backup)
+        if self.storage is not None:
+            self.storage.release(backup)
+
     def abort_active(self) -> None:
         if self.active is not None and not self.active.is_sealed:
             self.active.abort()

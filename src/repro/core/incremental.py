@@ -24,17 +24,13 @@ from repro.ids import LSN, NULL_LSN, PageId
 from repro.obs.events import (
     CHAIN_FALLBACK,
     CORRUPTION_DETECTED,
-    QUARANTINE,
     RECOVERY_PHASE,
 )
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
+from repro.recovery.explain import RecoveryOutcome
 from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import (
-    POISON,
-    contains_poison,
-    surviving_poison,
-)
+from repro.recovery.redo import POISON
+from repro.recovery.settle import settle, touched_pages
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
@@ -147,6 +143,7 @@ def run_media_recovery_chain(
     state: Dict[PageId, PageVersion] = {
         pid: ver for pid, ver in stable.iter_pages()
     }
+    before = dict(state)  # what the overlay restore just installed
     for pid in quarantine_seed:
         state[pid] = PageVersion(POISON, NULL_LSN)
     replayer = make_replayer(
@@ -162,43 +159,9 @@ def run_media_recovery_chain(
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="redo",
                     replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    quarantined: List[PageId] = []
-    if quarantine_seed:
-        quarantined = poisoned
-        poisoned = []
-        if tracer.enabled:
-            for pid in quarantined:
-                tracer.emit(QUARANTINE, page=str(pid), kind="media-chain")
-    quarantined_set = set(quarantined)
-    diffs = []
-    if oracle is not None:
-        diffs = [
-            d
-            for d in diff_states(state, oracle, initial_value)
-            if d[0] not in quarantined_set
-        ]
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned),
-                        quarantined=len(quarantined))
-    for pid, ver in state.items():
-        if not stable.layout.contains(pid):
-            continue
-        if contains_poison(ver.value):
-            stable.install_version(pid, PageVersion(initial_value, NULL_LSN))
-            continue
-        stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="complete",
-                    ok=not poisoned and not diffs,
-                    quarantined=len(quarantined))
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="media-chain",
-        quarantined=quarantined,
+    return settle(
+        stable, state, touched_pages(state, before), stats,
+        kind="media-chain", initial_value=initial_value,
+        seeded=bool(quarantine_seed), expected=oracle, tracer=tracer,
+        metrics=metrics,
     )

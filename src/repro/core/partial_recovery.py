@@ -24,14 +24,15 @@ needed inputs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import NoBackupError, RecoveryError
 from repro.ids import LSN, PageId
 from repro.obs.events import RECOVERY_PHASE
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
-from repro.recovery.redo import RedoReplayer, surviving_poison
+from repro.recovery.explain import RecoveryOutcome
+from repro.recovery.redo import RedoReplayer
+from repro.recovery.settle import settle, touched_pages
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.wal.log_manager import LogManager
@@ -62,6 +63,7 @@ def run_partition_media_recovery(
     oracle: Optional[Mapping[PageId, Any]] = None,
     initial_value: Any = None,
     tracer=None,
+    metrics=None,
 ) -> RecoveryOutcome:
     """Restore one failed partition from ``backup`` and roll it forward.
 
@@ -109,6 +111,7 @@ def run_partition_media_recovery(
         pid: stable.read_page(pid)
         for pid in stable.layout.pages_in_partition(partition)
     }
+    before = dict(state)
     replayer = RedoReplayer(initial_value=initial_value, tracer=tracer)
     relevant = (
         record
@@ -120,28 +123,12 @@ def run_partition_media_recovery(
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="partition", phase="redo",
                     replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    diffs: List[Tuple[PageId, Any, Any]] = []
-    if oracle is not None:
-        expected = {
-            pid: value
-            for pid, value in oracle.items()
-            if pid.partition == partition
-        }
-        diffs = diff_states(state, expected, initial_value)
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="partition", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned))
-    for pid, ver in state.items():
-        stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="partition", phase="complete",
-                    ok=not poisoned and not diffs)
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="partition",
+    expected = oracle and {
+        pid: value for pid, value in oracle.items()
+        if pid.partition == partition
+    }
+    return settle(
+        stable, state, touched_pages(state, before), stats,
+        kind="partition", initial_value=initial_value, expected=expected,
+        tracer=tracer, metrics=metrics,
     )

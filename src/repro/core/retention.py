@@ -22,7 +22,10 @@ way that flushing does" — so a hot page that is never flushed does not
 pin the log, as long as it keeps being identity-logged.
 
 Retiring old backups releases their log ranges; the oldest retained
-backup bounds how much media-recovery history survives.
+backup bounds how much media-recovery history survives.  A retired
+image is dropped from the engine's completed list, so its pages are
+freed and it is never offered as a media-recovery fallback again; only
+its id is remembered, for :meth:`LogRetention.is_retired`.
 """
 
 from __future__ import annotations
@@ -43,11 +46,7 @@ class LogRetention:
         self._retired_ids = set()
 
     def retained_backups(self) -> List[BackupDatabase]:
-        return [
-            backup
-            for backup in self.engine.completed
-            if backup.backup_id not in self._retired_ids
-        ]
+        return list(self.engine.completed)
 
     def _base_chain_ids(self, backup: BackupDatabase) -> List[int]:
         """Backup ids this backup's restore chain passes through
@@ -85,8 +84,9 @@ class LogRetention:
         return pin
 
     def retire_backup(self, backup: BackupDatabase) -> None:
-        """Release a backup's pin on the log (it can no longer be used
-        for media recovery once the log is truncated past it).
+        """Release a backup's pin on the log and drop its image (it can
+        no longer be used for media recovery once the log is truncated
+        past it).  Retiring an already retired backup is a no-op.
 
         A generation some *retained* backup still chains through cannot
         be retired: raising :class:`ChainPinnedError` here is what keeps
@@ -103,6 +103,7 @@ class LogRetention:
         if dependents:
             raise ChainPinnedError(backup.backup_id, dependents)
         self._retired_ids.add(backup.backup_id)
+        self.engine.discard(backup)
 
     def is_retired(self, backup: BackupDatabase) -> bool:
         return backup.backup_id in self._retired_ids

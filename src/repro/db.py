@@ -955,6 +955,7 @@ class Database:
                 oracle=self.oracle.state() if verify else None,
                 initial_value=self.initial_value,
                 tracer=self.tracer,
+                metrics=self.metrics,
             )
         self.cm.reload_after_recovery()
         return self._stamp_outcome(outcome)
@@ -1016,7 +1017,7 @@ class Database:
         return self.retention.truncate_log()
 
     def retire_backup(self, backup: BackupDatabase) -> None:
-        """Release a backup's pin on the log."""
+        """Release a backup's pin on the log and drop its image."""
         self.retention.retire_backup(backup)
 
     # ------------------------------------------------------------- inspection

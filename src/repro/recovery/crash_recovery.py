@@ -20,18 +20,15 @@ oracle state is produced).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.ids import LSN, NULL_LSN, PageId
-from repro.obs.events import QUARANTINE, RECOVERY_PHASE
+from repro.obs.events import RECOVERY_PHASE
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
+from repro.recovery.explain import RecoveryOutcome
 from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import (
-    POISON,
-    contains_poison,
-    surviving_poison,
-)
+from repro.recovery.redo import POISON
+from repro.recovery.settle import settle, touched_pages
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
 from repro.wal.log_manager import LogManager
@@ -52,10 +49,11 @@ def run_crash_recovery(
 ) -> RecoveryOutcome:
     """Recover the current state from S and the durable log.
 
-    When ``apply_to_stable`` is True the recovered page versions are
+    When ``apply_to_stable`` is True the pages replay changed are
     written back into S (as a real system's redo pass would), making S
-    equal to the recovered current state.  ``redo_workers > 1`` fans
-    the replay out to the dependency-aware parallel replayer.
+    equal to the recovered current state; every other page already is.
+    ``redo_workers > 1`` fans the replay out to the dependency-aware
+    parallel replayer.
     """
     tracer = tracer or NULL_TRACER
     if tracer.enabled:
@@ -74,6 +72,9 @@ def run_crash_recovery(
         state: Dict[PageId, PageVersion] = {}
     else:
         state = {pid: ver for pid, ver in stable.iter_pages()}
+    # What S already holds: entries still identical to these after
+    # replay need neither the poison audit nor a write-back.
+    before = dict(state)
     for pid in quarantine:
         state[pid] = PageVersion(POISON, NULL_LSN)
     replayer = make_replayer(
@@ -87,48 +88,9 @@ def run_crash_recovery(
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="crash", phase="redo",
                     replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    quarantined: List[PageId] = []
-    if quarantine:
-        # With damage seeded, surviving POISON is the quarantine report:
-        # the seeds replay could not heal, plus pages their loss tainted.
-        quarantined = poisoned
-        poisoned = []
-        if tracer.enabled:
-            for pid in quarantined:
-                tracer.emit(QUARANTINE, page=str(pid), kind="crash")
-    quarantined_set = set(quarantined)
-    diffs = []
-    if oracle is not None:
-        diffs = [
-            d
-            for d in diff_states(state, oracle, initial_value)
-            if d[0] not in quarantined_set
-        ]
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="crash", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned),
-                        quarantined=len(quarantined))
-    if apply_to_stable:
-        for pid, ver in state.items():
-            if not stable.layout.contains(pid):
-                continue
-            if contains_poison(ver.value):
-                stable.install_version(
-                    pid, PageVersion(initial_value, NULL_LSN)
-                )
-                continue
-            stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="crash", phase="complete",
-                    ok=not poisoned and not diffs,
-                    quarantined=len(quarantined))
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="crash",
-        quarantined=quarantined,
+    return settle(
+        stable, state, touched_pages(state, before), stats,
+        kind="crash", initial_value=initial_value, seeded=bool(quarantine),
+        expected=oracle, tracer=tracer, metrics=metrics,
+        write_back=apply_to_stable,
     )

@@ -61,15 +61,15 @@ from contextlib import nullcontext
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.ids import LSN, NULL_LSN, PageId
-from repro.obs.events import QUARANTINE, RESTORE_PROGRESS
+from repro.obs.events import RESTORE_PROGRESS
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
+from repro.recovery.explain import RecoveryOutcome
 from repro.recovery.media_recovery import (
-    install_recovered_page,
     resolve_media_target,
     select_generation,
 )
 from repro.recovery.redo import POISON, contains_poison
+from repro.recovery.settle import install_recovered_page, settle, touched_pages
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
@@ -735,48 +735,26 @@ class RestoreManager:
                 if pid not in self._base and pid not in self._seeds:
                     self._base[pid] = version
             state = evaluator.final_state()
-            # Out-of-layout replay targets exist only in ``state`` (the
-            # offline path traces/drops them at install; the per-page
-            # paths never see them) — install parity is handled by
-            # install_recovered_page in both paths.
-            for pid, version in state.items():
-                if not layout.contains(pid):
-                    with self._io_guard():
+            # Only replay effects and the POISON seeds can differ from
+            # the restored image (see repro.recovery.settle).
+            touched = touched_pages(state, self._base, self._seeds)
+            # In-layout pages were installed one by one as they were
+            # restored; out-of-layout replay targets exist only in
+            # ``state`` and are traced/dropped here, as offline.
+            with self._io_guard():
+                for pid in touched:
+                    if not layout.contains(pid):
                         install_recovered_page(
-                            self.stable, pid, version, self.initial_value,
+                            self.stable, pid, state[pid], self.initial_value,
                             self.tracer, self.metrics, kind="instant",
                         )
-            poisoned = sorted(
-                pid
-                for pid, version in state.items()
-                if contains_poison(version.value)
+            outcome = settle(
+                self.stable, state, touched, evaluator, kind="instant",
+                initial_value=self.initial_value,
+                seeded=bool(self.quarantine_seed), expected=self.oracle,
+                tracer=self.tracer, write_back=False,
             )
-            quarantined: List[PageId] = []
-            if self.quarantine_seed:
-                quarantined = poisoned
-                poisoned = []
-                if self.tracer.enabled:
-                    for pid in quarantined:
-                        self.tracer.emit(
-                            QUARANTINE, page=str(pid), kind="instant"
-                        )
-            quarantined_set = set(quarantined)
-            diffs: List = []
-            if self.oracle is not None:
-                diffs = [
-                    d
-                    for d in diff_states(state, self.oracle, self.initial_value)
-                    if d[0] not in quarantined_set
-                ]
-            outcome = RecoveryOutcome(
-                state=state,
-                replayed=evaluator.ops_replayed,
-                skipped=evaluator.ops_skipped,
-                poisoned=poisoned,
-                diffs=diffs,
-                kind="media",
-                quarantined=quarantined,
-            )
+            outcome.kind = "media"  # the offline-equivalent outcome
             self._drained = outcome
         if self.tracer.enabled:
             self.tracer.emit(

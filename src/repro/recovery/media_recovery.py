@@ -44,17 +44,16 @@ from repro.ids import LSN, NULL_LSN, PageId
 from repro.obs.events import (
     CHAIN_FALLBACK,
     CORRUPTION_DETECTED,
-    QUARANTINE,
     RECOVERY_PHASE,
-    RESTORE_DROP,
 )
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
+from repro.recovery.explain import RecoveryOutcome
 from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import (
-    POISON,
-    contains_poison,
-    surviving_poison,
+from repro.recovery.redo import POISON
+from repro.recovery.settle import (  # noqa: F401  (re-exported)
+    install_recovered_page,
+    settle,
+    touched_pages,
 )
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
@@ -190,42 +189,6 @@ def select_generation(
     return backup, damaged
 
 
-def install_recovered_page(
-    stable: StableDatabase,
-    pid: PageId,
-    version: PageVersion,
-    initial_value: Any,
-    tracer=None,
-    metrics=None,
-    kind: str = "media",
-) -> bool:
-    """Install one replayed page into stable, with drop/quarantine rules.
-
-    Out-of-layout pages (a replayed logical op can touch identifiers the
-    stable layout never held, e.g. in the degrade path) are **not**
-    installed — but they are never dropped silently: a ``RESTORE_DROP``
-    event and ``Metrics.pages_dropped_out_of_layout`` record each one.
-    Pages whose value still carries POISON are formatted to the initial
-    value rather than installing garbage.  Returns ``True`` iff the
-    page's replayed value was installed as-is.
-    """
-    if not stable.layout.contains(pid):
-        if metrics is not None:
-            metrics.pages_dropped_out_of_layout += 1
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                RESTORE_DROP, page=str(pid), reason="out-of-layout",
-                kind=kind,
-            )
-        return False
-    if contains_poison(version.value):
-        # Quarantined: format the cell rather than install garbage.
-        stable.install_version(pid, PageVersion(initial_value, NULL_LSN))
-        return False
-    stable.install_version(pid, version)
-    return True
-
-
 def run_media_recovery(
     stable: StableDatabase,
     backup: BackupDatabase,
@@ -282,7 +245,8 @@ def run_media_recovery(
     # (2) Roll forward with the media recovery log.  Pages absent from
     # ``state`` (never copied, or formatted to the initial value) are
     # materialized lazily by the replayer, exactly as the formatted cell
-    # would read.
+    # would read.  ``before`` is what the restore just installed.
+    before = dict(state)
     for pid in quarantine_seed:
         # Content lost; POISON propagates honestly through replay unless
         # a later blind record rewrites the page.
@@ -300,42 +264,9 @@ def run_media_recovery(
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="media", phase="redo",
                     replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    quarantined: List[PageId] = []
-    if quarantine_seed:
-        # Every surviving POISON traces back to the corrupted pages (the
-        # seeds plus anything their loss transitively tainted).
-        quarantined = poisoned
-        poisoned = []
-        if tracer.enabled:
-            for pid in quarantined:
-                tracer.emit(QUARANTINE, page=str(pid), kind="media")
-    quarantined_set = set(quarantined)
-    diffs = []
-    if oracle is not None:
-        diffs = [
-            d
-            for d in diff_states(state, oracle, initial_value)
-            if d[0] not in quarantined_set
-        ]
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="media", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned),
-                        quarantined=len(quarantined))
-    for pid, ver in state.items():
-        install_recovered_page(
-            stable, pid, ver, initial_value, tracer, metrics, kind="media"
-        )
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media", phase="complete",
-                    ok=not poisoned and not diffs,
-                    quarantined=len(quarantined))
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="media",
-        quarantined=quarantined,
+    return settle(
+        stable, state, touched_pages(state, before), stats,
+        kind="media", initial_value=initial_value,
+        seeded=bool(quarantine_seed), expected=oracle, tracer=tracer,
+        metrics=metrics,
     )

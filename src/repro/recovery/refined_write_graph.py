@@ -51,7 +51,9 @@ class DynamicNode:
     touches only its own entries instead of scanning every reader set.
     """
 
-    __slots__ = ("node_id", "ops", "vars", "preds", "succs", "reads")
+    __slots__ = (
+        "node_id", "ops", "vars", "preds", "succs", "reads", "nonblind",
+    )
 
     def __init__(
         self,
@@ -68,6 +70,9 @@ class DynamicNode:
         self.preds = set() if preds is None else preds
         self.succs = set() if succs is None else succs
         self.reads = set() if reads is None else reads
+        # True once the node holds a non-blind (value-reading) op: only
+        # such a node's dropped var can feed garbage to replayed readers.
+        self.nonblind = False
 
     @property
     def op_lsns(self) -> List[LSN]:
@@ -181,7 +186,9 @@ class DynamicWriteGraph:
             return self._add_blind(record)
         return self._add_general(record)
 
-    def _new_node(self, record: LogRecord, vars_: Set[PageId]) -> DynamicNode:
+    def _new_node(
+        self, record: LogRecord, vars_: Set[PageId], nonblind: bool
+    ) -> DynamicNode:
         # Takes ownership of ``vars_`` (callers pass a fresh set).  Built
         # via __new__ + direct slot stores: one node per logged operation
         # makes even the constructor's default-argument branches visible.
@@ -193,6 +200,7 @@ class DynamicWriteGraph:
         node.preds = set()
         node.succs = set()
         node.reads = set()
+        node.nonblind = nonblind
         self._nodes[node_id] = node
         # A fresh node has no predecessors: immediately ready.
         self._ready.add(node_id)
@@ -203,7 +211,7 @@ class DynamicWriteGraph:
     def _add_general(self, record: LogRecord) -> DynamicNode:
         op = record.op
         writeset = op.writeset
-        node = self._new_node(record, set(writeset))
+        node = self._new_node(record, set(writeset), True)
 
         # First collapse: merge with nodes already holding written pages.
         # Merging nodes with a pre-existing path between them would close
@@ -264,15 +272,26 @@ class DynamicWriteGraph:
     def _add_blind(self, record: LogRecord) -> DynamicNode:
         op = record.op
         (target,) = op.writeset
+        identity = op.kind is OperationKind.IDENTITY
         # The target's previous value becomes unexposed: remove it from the
         # prior holder's flush set (the rW refinement, Figure 2).
         previous = self.holder_of(target)
         if previous is not None:
+            if previous.nonblind and not identity:
+                # The holder may now install without flushing ``target``,
+                # freeing its inputs to be flushed over; redo would then
+                # recompute ``target`` from newer inputs, so its replayed
+                # readers must install first (see DESIGN.md invariant 4).
+                for reader in list(self._live_readers(target)):
+                    if reader != previous.node_id:
+                        previous = self._add_edge_collapsing(
+                            reader, previous.node_id
+                        )
             previous.vars.discard(target)
             self._vars_shrunk(previous)
-        node = self._new_node(record, {target})
+        node = self._new_node(record, {target}, False)
         self._holder[target] = node.node_id
-        if record.op.kind is OperationKind.IDENTITY:
+        if identity:
             # An identity write does not change the value: readers of the
             # current value are unaffected, so no inverse write-read edges
             # are needed — and the readers stay registered so the *next*
@@ -415,6 +434,7 @@ class DynamicWriteGraph:
         keep.preds |= other.preds
         keep.succs |= other.succs
         keep.reads |= other.reads
+        keep.nonblind = keep.nonblind or other.nonblind
         del self._nodes[other_id]
         self._alias[other_id] = keep_id
         self._unready(other_id)

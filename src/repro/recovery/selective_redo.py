@@ -33,15 +33,15 @@ reports precisely which innocent operations had to be sacrificed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import NoBackupError, RecoveryError
 from repro.ids import LSN, PageId
 from repro.obs.events import RECOVERY_PHASE
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
+from repro.recovery.explain import RecoveryOutcome
 from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import surviving_poison
+from repro.recovery.settle import settle, touched_pages
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.wal.log_manager import LogManager
@@ -197,6 +197,7 @@ def run_selective_redo(
     state: Dict[PageId, PageVersion] = {
         pid: ver for pid, ver in stable.iter_pages()
     }
+    before = dict(state)
     excluded = analysis.excluded
     replayer = make_replayer(
         initial_value=initial_value,
@@ -211,28 +212,15 @@ def run_selective_redo(
         tracer.emit(RECOVERY_PHASE, kind="selective", phase="redo",
                     replayed=stats.ops_replayed, skipped=stats.ops_skipped,
                     excluded=len(excluded))
-    poisoned = surviving_poison(state)
-
-    diffs: List[Tuple[PageId, Any, Any]] = []
-    if verify and to_lsn is None:
-        expected = expected_state_excluding(log, excluded, initial_value)
-        diffs = diff_states(state, expected, initial_value)
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="selective", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned))
-
-    for pid, ver in state.items():
-        if stable.layout.contains(pid):
-            stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="selective", phase="complete",
-                    ok=not poisoned and not diffs)
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="selective",
-        analysis=analysis,
+    expected = (
+        expected_state_excluding(log, excluded, initial_value)
+        if verify and to_lsn is None
+        else None
     )
+    outcome = settle(
+        stable, state, touched_pages(state, before), stats,
+        kind="selective", initial_value=initial_value, expected=expected,
+        tracer=tracer, metrics=metrics,
+    )
+    outcome.analysis = analysis
+    return outcome

@@ -207,6 +207,13 @@ class StorageBackend:
         """Return a :class:`LogDevice`, or ``None`` for buffer-only WALs."""
         raise NotImplementedError
 
+    def release(self, obj: Any) -> None:
+        """Close one store this backend created and stop tracking it
+        (a retired backup image), so nothing here keeps it alive."""
+        if obj in self._created:
+            self._created.remove(obj)
+            obj.close()
+
     def close(self) -> None:
         """Close every store/device this backend created (idempotent)."""
         while self._created:

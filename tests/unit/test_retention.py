@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import LogTruncatedError, NoBackupError
 from repro.ids import PageId
@@ -122,3 +123,42 @@ class TestRetentionPolicy:
         pinned = db.retention.safe_truncation_point()
         record = db.cm.identity_install(pid(0))
         assert db.retention.safe_truncation_point() == record.lsn > pinned
+
+
+class TestRetiredImagesAreDropped:
+    def test_back_to_back_backups_do_not_accumulate(self, db):
+        """Retiring drops the sealed image: memory and the retention
+        scans stay bounded however many backups were taken, and a
+        retired image is no longer offered as a fallback."""
+        import gc
+        import weakref
+
+        refs = []
+        for round_no in range(20):
+            db.execute(PhysicalWrite(pid(round_no % 8), ("round", round_no)))
+            db.start_backup(BackupConfig(steps=2))
+            latest = db.run_backup()
+            for backup in db.retention.retained_backups():
+                if backup is not latest:
+                    refs.append(weakref.ref(backup))
+                    db.retire_backup(backup)
+                    assert db.retention.is_retired(backup)
+            del backup
+            db.truncate_log()
+            assert len(db.engine.completed) == 1
+        assert refs
+        del latest
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        db.media_failure()
+        assert db.media_recover().ok
+
+    def test_retiring_twice_is_a_no_op(self, db):
+        db.start_backup(BackupConfig(steps=2))
+        first = db.run_backup()
+        db.start_backup(BackupConfig(steps=2))
+        second = db.run_backup()
+        db.retire_backup(first)
+        db.retire_backup(first)
+        assert db.retention.is_retired(first)
+        assert db.engine.completed == [second]
